@@ -298,13 +298,29 @@ func BenchmarkRCB(b *testing.B) {
 	}
 }
 
-// BenchmarkInteractionRebuild measures the paper-era O(N^2) list build.
+// BenchmarkInteractionRebuild measures the host's interaction-list
+// build at the table scale, whose 0.457 cutoff leaves too few grid cells
+// and so takes the exhaustive scan (DESIGN.md §16).
 func BenchmarkInteractionRebuild(b *testing.B) {
 	p := moldyn.DefaultParams(1024, 8)
 	w := moldyn.Generate(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		moldyn.BuildPairs(&w.P, w.L, w.X0)
+	}
+}
+
+// BenchmarkInteractionRebuildAnecdote measures one parallel rebuild at
+// the memory anecdote's scale (N=4096, cutoff 0.2209 of the box, the
+// cell-grid path): all eight processors' strided builds.
+func BenchmarkInteractionRebuildAnecdote(b *testing.B) {
+	p := moldyn.DefaultParams(4096, 8)
+	p.CutoffFrac = 0.2209
+	w := moldyn.Generate(p)
+	for b.Loop() {
+		for me := 0; me < p.Procs; me++ {
+			moldyn.BuildPairsStrided(&w.P, w.L, w.X0, p.Procs, me)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package moldyn
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -41,25 +43,88 @@ func TestPositionsOnLattice(t *testing.T) {
 	}
 }
 
-func TestBuildPairsBruteVsCell(t *testing.T) {
-	p := testParams(300, 2, 1, 0)
-	w := Generate(p)
-	brute, _ := BuildPairs(&p, w.L, w.X0)
-	pc := p
-	pc.CellRebuild = true
-	cell, _ := BuildPairs(&pc, w.L, w.X0)
-	if len(brute) != len(cell) {
-		t.Fatalf("pair counts differ: brute %d, cell %d", len(brute), len(cell))
-	}
-	seen := map[[2]int32]bool{}
-	for _, pr := range brute {
-		seen[pr] = true
-	}
-	for _, pr := range cell {
-		if !seen[pr] {
-			t.Fatalf("cell found pair %v absent from brute force", pr)
+// brutePairs is the paper-era exhaustive scan, the oracle for the
+// cell-grid builder: every candidate (i, j>i) of the strided rows is
+// checked and counted.
+func brutePairs(p *Params, l float64, x []float64, mod, eq int) (pairs [][2]int32, checks int64) {
+	rc2 := p.Cutoff * p.Cutoff
+	for i := eq; i < p.N; i += mod {
+		for j := i + 1; j < p.N; j++ {
+			checks++
+			dx := apps.MinImage(x[3*i]-x[3*j], l)
+			dy := apps.MinImage(x[3*i+1]-x[3*j+1], l)
+			dz := apps.MinImage(x[3*i+2]-x[3*j+2], l)
+			if dx*dx+dy*dy+dz*dz <= rc2 {
+				pairs = append(pairs, [2]int32{int32(i), int32(j)})
+			}
 		}
 	}
+	return pairs, checks
+}
+
+// TestPairGridMatchesBruteForce holds the cell-grid builder to the
+// exhaustive scan: the same pairs in the same order and the same charged
+// check count, on the grid path (CutoffFrac 0.2209) and the exhaustive
+// fallback (0.457), with molecules planted on cell boundaries, at the
+// box edges, and exactly at the cutoff.
+func TestPairGridMatchesBruteForce(t *testing.T) {
+	strides := [][2]int{{1, 0}, {3, 1}, {8, 0}, {8, 7}}
+	for _, frac := range []float64{0.2209, 0.457} {
+		for seed := int64(1); seed <= 20; seed++ {
+			p := DefaultParams(700+13*int(seed), 8)
+			p.CutoffFrac = frac
+			p.Seed = seed
+			w := Generate(p)
+			n, l := w.P.N, w.L
+			// A lattice cutoff of 5u puts (3u, 4u, 0) exactly on it.
+			u := apps.Q(w.P.Cutoff / 5)
+			rc := 5 * u
+			w.P.Cutoff = rc
+			m := int(min(2*l/(rc*(1+1e-9)), cubeSide(float64(n))))
+			if grid := m >= 5; grid != (frac < 0.3) {
+				t.Fatalf("frac %v: %d cells a side, grid path = %v", frac, m, grid)
+			}
+			g := 1.0 / apps.Grid
+			pts := [][3]float64{{0, 0, 0}, {l - g, l - g, l - g}, {0, l - g, 0}}
+			var atCutoff [][2]int // planted pairs exactly rc apart
+			for k := 1; k < max(m, 2); k++ {
+				b := apps.Q(float64(k) * l / float64(m))
+				atCutoff = append(atCutoff, [2]int{len(pts) + 2, len(pts) + 3}, [2]int{len(pts) + 4, len(pts) + 5})
+				pts = append(pts,
+					[3]float64{b, b, b}, [3]float64{b - g, b, b - g},
+					[3]float64{b - u, b, b}, [3]float64{b + 2*u, b + 4*u, b},
+					[3]float64{b, 0, l - g}, [3]float64{b + rc, 0, l - g},
+					[3]float64{b, g, g}, [3]float64{b + rc + g, g, g}, // just beyond
+				)
+			}
+			stride := n / len(pts)
+			for k, pt := range pts {
+				for d := range pt {
+					w.X0[3*k*stride+d] = apps.Wrap(pt[d], l)
+				}
+			}
+			for _, s := range strides {
+				want, wantChecks := brutePairs(&w.P, l, w.X0, s[0], s[1])
+				got, gotChecks := BuildPairsStrided(&w.P, l, w.X0, s[0], s[1])
+				if gotChecks != wantChecks {
+					t.Fatalf("frac %v seed %d stride %v: checks %d, brute force %d", frac, seed, s, gotChecks, wantChecks)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("frac %v seed %d stride %v: %d pairs differ from brute force's %d", frac, seed, s, len(got), len(want))
+				}
+			}
+			all, _ := BuildPairs(&w.P, l, w.X0)
+			for _, pr := range atCutoff {
+				if _, ok := slices.BinarySearchFunc(all, [2]int32{int32(pr[0] * stride), int32(pr[1] * stride)}, comparePairs); !ok {
+					t.Fatalf("frac %v seed %d: planted pair %v at the cutoff missing", frac, seed, pr)
+				}
+			}
+		}
+	}
+}
+
+func comparePairs(a, b [2]int32) int {
+	return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 }
 
 func TestPairsSymmetricIandJ(t *testing.T) {

@@ -13,6 +13,7 @@ package moldyn
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/apps"
@@ -65,8 +66,7 @@ type Params struct {
 	// (0 = sim.DefaultConfig). The memory ablation's anecdote run uses a
 	// large value: the measured CHAOS program's bulk inspector exchanges
 	// were not fragmented at the paper's message-count granularity.
-	MaxMsgB     int
-	CellRebuild bool // use an O(N) cell grid instead of the paper-era O(N^2) rebuild
+	MaxMsgB int
 	// Machine carries the latency/bandwidth overrides the scenario
 	// engine sweeps (zero fields = SP2 default).
 	Machine apps.Machine
@@ -163,113 +163,111 @@ func Coords(x []float64) [][3]float64 {
 }
 
 // BuildPairs computes the interaction list for positions x: all pairs
-// (i<j) with minimum-image distance at most Cutoff, in deterministic
-// order, plus the number of candidate checks performed (the rebuild's
-// compute cost). The paper-era code scans all N^2/2 pairs; CellRebuild
-// enables a cell-grid search as an ablation.
+// (i<j) with minimum-image distance at most Cutoff, ordered by i and
+// then j, plus checks, the candidate-pair count of the paper-era
+// exhaustive scan (N(N-1)/2) that the model charges for a rebuild. The
+// host computes the same list on a cell grid (DESIGN.md §16).
 func BuildPairs(p *Params, l float64, x []float64) (pairs [][2]int32, checks int64) {
+	return BuildPairsStrided(p, l, x, 1, 0)
+}
+
+// BuildPairsStrided computes the interaction pairs whose first molecule
+// i satisfies i % mod == eq — the parallel rebuild decomposition: each
+// processor takes an interleaved subset of the rows, which balances the
+// triangular pair loop. The pairs are exactly BuildPairs' pairs for
+// those rows, in the same (i ascending, j ascending) order, and checks
+// is the paper-era scan's count for those rows, the sum of N-1-i.
+//
+// The host bins molecules into cells of side at least Cutoff/2, so a
+// row's partners lie in the 5x5x5 cells around its own; cells of that
+// block farther than the cutoff from the row's molecule are skipped.
+// Below five cells a side the block wraps onto itself, so every pair is
+// scanned instead; at most cbrt(N) cells a side bound the grid's
+// memory. A row's hits collect in a bitmap over j, which drains in
+// ascending order (DESIGN.md §16).
+func BuildPairsStrided(p *Params, l float64, x []float64, mod, eq int) (pairs [][2]int32, checks int64) {
 	n := p.N
+	if eq < n {
+		rows := int64((n-1-eq)/mod + 1)
+		checks = rows*int64(n-1-eq) - int64(mod)*rows*(rows-1)/2
+	}
 	rc2 := p.Cutoff * p.Cutoff
-	if !p.CellRebuild {
-		for i := 0; i < n; i++ {
-			xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
+	near := func(i, j int) bool {
+		dx := apps.MinImage(x[3*i]-x[3*j], l)
+		dy := apps.MinImage(x[3*i+1]-x[3*j+1], l)
+		dz := apps.MinImage(x[3*i+2]-x[3*j+2], l)
+		return dx*dx+dy*dy+dz*dz <= rc2
+	}
+	g := min(2*l/(p.Cutoff*(1+1e-9)), cubeSide(float64(n)))
+	if !(g >= 5) { // also when g is NaN, as cubeSide gives for N = 0
+		for i := eq; i < n; i += mod {
 			for j := i + 1; j < n; j++ {
-				checks++
-				dx := apps.MinImage(xi-x[3*j], l)
-				dy := apps.MinImage(yi-x[3*j+1], l)
-				dz := apps.MinImage(zi-x[3*j+2], l)
-				if dx*dx+dy*dy+dz*dz <= rc2 {
+				if near(i, j) {
 					pairs = append(pairs, [2]int32{int32(i), int32(j)})
 				}
 			}
 		}
 		return pairs, checks
 	}
-	// Cell-grid variant: cells of side >= cutoff; scan half the 27
-	// neighborhood to keep i<j order deterministic. With fewer than
-	// three cells per side the periodic neighborhood aliases (the same
-	// cell would be visited twice), so fall back to the exhaustive scan.
-	nc := int(l / p.Cutoff)
-	if nc < 3 {
-		q := *p
-		q.CellRebuild = false
-		return BuildPairs(&q, l, x)
+	m := int(g)
+	scale := float64(m) / l
+	cell := make([]int32, n)
+	start := make([]int32, m*m*m+1) // cell c holds members[start[c]:start[c+1]]
+	for i := range cell {
+		c := 0
+		for d := 2; d >= 0; d-- {
+			c = c*m + min(int(x[3*i+d]*scale), m-1)
+		}
+		cell[i] = int32(c)
+		start[c]++
 	}
-	cellOf := func(i int) (int, int, int) {
-		cx := int(x[3*i] / l * float64(nc))
-		cy := int(x[3*i+1] / l * float64(nc))
-		cz := int(x[3*i+2] / l * float64(nc))
-		return clampCell(cx, nc), clampCell(cy, nc), clampCell(cz, nc)
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
 	}
-	cells := make([][]int32, nc*nc*nc)
-	for i := 0; i < n; i++ {
-		cx, cy, cz := cellOf(i)
-		id := (cz*nc+cy)*nc + cx
-		cells[id] = append(cells[id], int32(i))
+	members := make([]int32, n)
+	for i := n - 1; i >= 0; i-- { // descending fill: each cell ascending
+		start[cell[i]]--
+		members[start[cell[i]]] = int32(i)
 	}
-	for i := 0; i < n; i++ {
-		cx, cy, cz := cellOf(i)
-		xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
-		for dz := -1; dz <= 1; dz++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dxc := -1; dxc <= 1; dxc++ {
-					id := (mod(cz+dz, nc)*nc+mod(cy+dy, nc))*nc + mod(cx+dxc, nc)
-					for _, j := range cells[id] {
-						if int(j) <= i {
-							continue
-						}
-						checks++
-						dx := apps.MinImage(xi-x[3*j], l)
-						dy2 := apps.MinImage(yi-x[3*j+1], l)
-						dz2 := apps.MinImage(zi-x[3*j+2], l)
-						if dx*dx+dy2*dy2+dz2*dz2 <= rc2 {
-							pairs = append(pairs, [2]int32{int32(i), j})
+	wrap := make([]int, m+4) // wrap[c+2+d] = (c+d) mod m
+	for k := range wrap {
+		wrap[k] = (k - 2 + m) % m
+	}
+	// A cell farther than the cutoff from molecule i is skipped; the
+	// slack keeps rounding in the cell bounds from pruning a partner.
+	side, reach := l/float64(m), p.Cutoff+1e-12*l
+	lim := reach * reach
+	var gap [3][5]float64 // squared axis distance from i to cell offsets -2..2
+	hits := make([]uint64, (n+63)/64)
+	for i := eq; i < n; i += mod {
+		c := int(cell[i])
+		cc := [3]int{c % m, c / m % m, c / (m * m)}
+		for a, ca := range cc {
+			lo := x[3*i+a] - float64(ca)*side // i's offset inside its cell
+			hi := side - lo
+			gap[a] = [5]float64{(lo + side) * (lo + side), lo * lo, 0, hi * hi, (hi + side) * (hi + side)}
+		}
+		for dz, z := range wrap[cc[2] : cc[2]+5] {
+			for dy, y := range wrap[cc[1] : cc[1]+5] {
+				for dx, xc := range wrap[cc[0] : cc[0]+5] {
+					if gap[2][dz]+gap[1][dy]+gap[0][dx] > lim {
+						continue
+					}
+					id := (z*m+y)*m + xc
+					// Members ascend, so those past i are a suffix.
+					for k := start[id+1] - 1; k >= start[id] && int(members[k]) > i; k-- {
+						if j := members[k]; near(i, int(j)) {
+							hits[j>>6] |= 1 << (j & 63)
 						}
 					}
 				}
 			}
 		}
-	}
-	return pairs, checks
-}
-
-func clampCell(c, nc int) int {
-	if c < 0 {
-		return 0
-	}
-	if c >= nc {
-		return nc - 1
-	}
-	return c
-}
-
-func mod(a, n int) int {
-	a %= n
-	if a < 0 {
-		a += n
-	}
-	return a
-}
-
-// BuildPairsStrided computes the interaction pairs whose first molecule
-// i satisfies i % mod == eq — the parallel rebuild decomposition: each
-// processor scans an interleaved subset of the rows, which balances the
-// triangular pair loop. The union over eq of the results equals
-// BuildPairs' pair set (in a different order; force accumulation is
-// exact, so results are unchanged).
-func BuildPairsStrided(p *Params, l float64, x []float64, mod, eq int) (pairs [][2]int32, checks int64) {
-	n := p.N
-	rc2 := p.Cutoff * p.Cutoff
-	for i := eq; i < n; i += mod {
-		xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
-		for j := i + 1; j < n; j++ {
-			checks++
-			dx := apps.MinImage(xi-x[3*j], l)
-			dy := apps.MinImage(yi-x[3*j+1], l)
-			dz := apps.MinImage(zi-x[3*j+2], l)
-			if dx*dx+dy*dy+dz*dz <= rc2 {
-				pairs = append(pairs, [2]int32{int32(i), int32(j)})
+		for w := (i + 1) >> 6; w < len(hits); w++ {
+			for b := hits[w]; b != 0; b &= b - 1 {
+				pairs = append(pairs, [2]int32{int32(i), int32(w<<6 + bits.TrailingZeros64(b))})
 			}
+			hits[w] = 0
 		}
 	}
 	return pairs, checks

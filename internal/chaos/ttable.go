@@ -207,7 +207,8 @@ func (t *TransTable) LookupBatch(p *sim.Proc, globals []int) []Loc {
 	cfg := p.Config()
 	t.chargeStorage(p)
 	out := make([]Loc, len(globals))
-	remote := map[int]int{} // segment owner -> #entries requested
+	remote := make([]int, p.NProcs()) // segment owner -> #entries requested
+	nremote := 0
 	for i, g := range globals {
 		out[i] = Loc{Proc: t.owner[g], Off: t.local[g]}
 		switch t.kind {
@@ -216,21 +217,26 @@ func (t *TransTable) LookupBatch(p *sim.Proc, globals []int) []Loc {
 		case Distributed:
 			if q := t.segmentOwner(g); q != p.ID() {
 				remote[q]++
+				nremote++
 			}
 		case Paged:
 			page := g / TablePageEntries
 			if q := t.segmentOwner(g); q != p.ID() && !t.cached[p.ID()][page] {
 				t.cachePage(p, page)
 				remote[q] += TablePageEntries // whole page shipped
+				nremote++
 			}
 		}
 	}
 	p.Advance(t.LookupUS * float64(len(globals)))
-	if len(remote) > 0 {
+	if nremote > 0 {
 		done := p.Clock()
 		t0 := done
 		var msgs, bytes int64
 		for q, entries := range remote {
+			if entries == 0 {
+				continue
+			}
 			reqB := TableEntryBytes * entries
 			respB := TableEntryBytes * entries
 			if t.kind == Paged {
