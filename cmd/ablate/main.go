@@ -1,31 +1,26 @@
 // Command ablate runs the ablation sweeps of DESIGN.md §4 (claims C2,
-// C3 and ablations A1-A5) plus the memory-capacity sweep of §9: the
-// effect of indirection-array update frequency, page size / false
-// sharing, message aggregation, WRITE_ALL reduction shipping, processor
-// count, incremental page-set recomputation, translation-table
-// organization, and the per-processor memory budget that *forces* the
-// organization (the moldyn 85 MB anecdote, asserted).
+// C3 and ablations A1-A5): the effect of indirection-array update
+// frequency, page size / false sharing, message aggregation, WRITE_ALL
+// reduction shipping, processor count, incremental page-set
+// recomputation, and translation-table organization. The §9
+// memory-capacity sweep (the moldyn 85 MB anecdote, asserted) is
+// scenarios/memory.yaml, run with `go run ./cmd/scenario run`.
 //
-//	go run ./cmd/ablate -sweep=update|pagesize|aggregation|writeall|procs|incremental|ttable|memory
+//	go run ./cmd/ablate -sweep=update|pagesize|aggregation|writeall|procs|incremental|ttable
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"repro/internal/apps"
 	"repro/internal/apps/moldyn"
 	"repro/internal/apps/nbf"
-	"repro/internal/bench"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/rsd"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/tmk"
 )
@@ -36,16 +31,14 @@ func main() {
 	procs := flag.Int("procs", 8, "processors")
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Stdout, *sweep, *n, *procs); err != nil {
+	if err := run(os.Stdout, *sweep, *n, *procs); err != nil {
 		fmt.Fprintln(os.Stderr, "ablate:", err)
 		os.Exit(1)
 	}
 }
 
 // run dispatches one sweep onto w (the golden tests render through it).
-func run(ctx context.Context, w io.Writer, sweep string, n, procs int) error {
+func run(w io.Writer, sweep string, n, procs int) error {
 	switch sweep {
 	case "update":
 		sweepUpdate(w, n, procs)
@@ -61,17 +54,6 @@ func run(ctx context.Context, w io.Writer, sweep string, n, procs int) error {
 		sweepIncremental(w, n, procs)
 	case "ttable":
 		sweepTTable(w, n, procs)
-	case "memory":
-		// The §9 capacity sweep executes through the shared runner and
-		// renders via bench.PresentMemorySweep so the scenario engine
-		// produces identical bytes (cmd/scenario).
-		sp := bench.MemorySweepParams{N: n, Procs: procs}
-		res, err := runner.Default().Do(ctx, bench.MemoryRequest(sp, nil))
-		if err != nil {
-			return err
-		}
-		bench.PresentMemorySweep(w, sp, res)
-		return nil
 	default:
 		return fmt.Errorf("unknown sweep: %s", sweep)
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"strings"
 	"testing"
@@ -22,7 +21,7 @@ func goldenSweep(t *testing.T, sweep string, n, procs int) {
 		t.Skip("golden render skipped under -race (see internal/raceflag)")
 	}
 	var buf bytes.Buffer
-	if err := run(context.Background(), &buf, sweep, n, procs); err != nil {
+	if err := run(&buf, sweep, n, procs); err != nil {
 		t.Fatalf("sweep %s: %v", sweep, err)
 	}
 	golden.Check(t, buf.Bytes(), "testdata/"+sweep+".golden", *update)
@@ -32,22 +31,16 @@ func TestGoldenTTableSweep(t *testing.T) {
 	goldenSweep(t, "ttable", 256, 4)
 }
 
-// TestGoldenMemorySweep renders the CI-size memory sweep once and
-// checks both the golden fixture and the sweep's visible claims on the
-// same buffer (the sweep is the package's most expensive render — it
-// runs the anecdote twice — so it is not rendered a second time just to
-// grep it). The anecdote bands themselves are asserted inside run(),
-// which returns an error when violated.
+// TestGoldenMemorySweep checks the §9 memory sweep, which
+// scenarios/memory.yaml produces, rendered through the run service's
+// stored path against cmd/scenario's fixture, and the sweep's visible
+// claims on the same buffer (the sweep runs the anecdote twice, so it
+// is not rendered a second time just to grep it).
 func TestGoldenMemorySweep(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("golden render skipped under -race (see internal/raceflag)")
 	}
-	var buf bytes.Buffer
-	if err := run(context.Background(), &buf, "memory", 512, 8); err != nil {
-		t.Fatal(err)
-	}
-	golden.Check(t, buf.Bytes(), "testdata/memory.golden", *update)
-	out := buf.String()
+	out := string(golden.CheckServiceRender(t, "../../scenarios/memory.yaml", "../scenario/testdata/memory.golden"))
 	for _, want := range []string{
 		"rejected -> distributed",
 		"bit-identical",
@@ -61,7 +54,7 @@ func TestGoldenMemorySweep(t *testing.T) {
 
 func TestUnknownSweepErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), &buf, "nonsense", 64, 2); err == nil {
+	if err := run(&buf, "nonsense", 64, 2); err == nil {
 		t.Fatal("unknown sweep did not error")
 	}
 }

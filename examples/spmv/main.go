@@ -2,7 +2,8 @@
 // registered application — a thin wrapper over internal/apps/spmv,
 // which provides the workload generator and all four backends
 // (sequential, CHAOS, base TreadMarks, Validate-optimized TreadMarks).
-// The full four-system table is cmd/table3; this example contrasts just
+// The full four-system table is scenarios/table3.yaml (run it with
+// `go run ./cmd/scenario run`); this example contrasts just
 // the two TreadMarks variants, like the original standalone demo.
 //
 // Unlike the original demo, the package backends run one extra untimed

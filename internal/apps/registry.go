@@ -1,7 +1,7 @@
 // The application registry: every irregular application (moldyn, nbf,
 // unstruct, spmv, ...) adapts its generated workload to the Workload
 // interface and self-registers a named factory from an init function.
-// The table commands and the bench harness iterate the registry instead
+// The bench harness and the scenario engine iterate the registry instead
 // of hard-coding per-app calls, so opening a new workload is: implement
 // the four backends, register a factory, done.
 package apps

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -11,22 +13,18 @@ import (
 // direction the gaps move — at test scale, so a regression in any layer
 // (protocol, Validate, CHAOS, cost model) that would change the paper's
 // story fails CI rather than silently producing a different table.
-
-func table1Small(t *testing.T) (*Table, []*AppResults) {
-	t.Helper()
-	cfg := apps.Config{N: 768, Procs: 8, Steps: 24}
-	tbl, all, err := Table1(cfg, []int{12, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tbl, all
-}
+// They run their reduced grids through the same run list (runItems)
+// and renderers (presentTableN) that bench.Run and PresentResult use.
 
 func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test runs seconds")
 	}
-	_, all := table1Small(t)
+	cfg := apps.Config{N: 768, Procs: 8, Steps: 24}
+	all, err := runItems(context.Background(), nil, updateItems(cfg, []int{12, 6}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range all {
 		// The optimized system beats base TreadMarks everywhere (§5.1:
 		// up to 38% on these apps).
@@ -65,10 +63,10 @@ func TestTable2Shape(t *testing.T) {
 		t.Skip("shape test runs seconds")
 	}
 	cfg := apps.Config{Procs: 8, Steps: 10}.WithKnob("partners", 50)
-	tbl, all, err := Table2(cfg, []Size{
+	all, err := runItems(context.Background(), nil, sizeItems("nbf", cfg, []Size{
 		{Label: "8 x 1024", N: 8 * 1024},
 		{Label: "8 x 1000", N: 8 * 1000},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +91,9 @@ func TestTable2Shape(t *testing.T) {
 		t.Errorf("C3 violated: no false-sharing penalty (%.4f vs %.4f normalized)",
 			shared.Opt.TimeSec/shared.Seq.TimeSec, aligned.Opt.TimeSec/aligned.Seq.TimeSec)
 	}
-	if !strings.Contains(tbl.String(), "NBF Kernel") {
+	var out bytes.Buffer
+	presentTable2(&out, Table2Params{Procs: 8, Steps: 10, Partners: 50}, &RunResult{Apps: all})
+	if !strings.Contains(out.String(), "NBF Kernel") {
 		t.Error("table title missing")
 	}
 }
@@ -105,9 +105,11 @@ func TestTable3Shape(t *testing.T) {
 	// Page 1024 B so each 512-row block spans four pages and
 	// aggregation has page sets to coalesce.
 	cfg := apps.Config{Procs: 8, Steps: 6}.WithKnob("nnz_row", 12).WithKnob("page_size", 1024)
-	tbl, all, err := Table3(cfg,
-		[]Size{{Label: "SPMV N = 4096", N: 4096}},
-		[]Size{{Label: "Unstruct N = 1024", N: 1024}})
+	ucfg := cfg
+	ucfg.Knobs = nil // the knobs apply to spmv only (unstruct declares none)
+	all, err := runItems(context.Background(), nil, append(
+		sizeItems("spmv", cfg, []Size{{Label: "SPMV N = 4096", N: 4096}}),
+		sizeItems("unstruct", ucfg, []Size{{Label: "Unstruct N = 1024", N: 1024}})...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +125,14 @@ func TestTable3Shape(t *testing.T) {
 		t.Errorf("opt (%.3fs) not faster than base (%.3fs)", r.Opt.TimeSec, r.Base.TimeSec)
 	}
 	// Table 3 prints the sequential row and both app groups.
-	out := tbl.String()
+	var buf bytes.Buffer
+	presentTable3(&buf, Table3Params{NNZ: 12, Procs: 8, Steps: 6}, &RunResult{Apps: all})
+	out := buf.String()
 	if !strings.Contains(out, "Sequential") || !strings.Contains(out, "SPMV") ||
 		!strings.Contains(out, "Unstruct") {
 		t.Fatalf("table 3 missing sequential row, spmv group, or unstruct group:\n%s", out)
 	}
-	// The unstruct group verified bit-identically too (RunApp returned);
+	// The unstruct group verified bit-identically too (runItems returned);
 	// the optimized system wins on time (at small sizes the message
 	// counts can tie — the sweep's pages are all resident after warmup).
 	u := all[1]
@@ -142,12 +146,13 @@ func TestTable4Shape(t *testing.T) {
 		t.Skip("shape test runs seconds")
 	}
 	cfg := apps.Config{Procs: 4}
-	tbl, all, err := Table4(cfg, cfg,
-		[]Size{{Label: "TSP, 9 cities", N: 9}},
-		[]Size{{Label: "TaskQ, 128 items", N: 128}})
+	all, err := runItems(context.Background(), nil, append(
+		sizeItems("tsp", cfg, []Size{{Label: "TSP, 9 cities", N: 9}}),
+		sizeItems("taskq", cfg, []Size{{Label: "TaskQ, 128 items", N: 128}})...))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := lockTableView("Table 4", all)
 	if len(all) != 2 || len(tbl.Rows) != 8 {
 		t.Fatalf("expected 2 configs x 4 rows, got %d configs, %d rows", len(all), len(tbl.Rows))
 	}
@@ -191,7 +196,7 @@ func TestTableFormatting(t *testing.T) {
 
 func TestRunAppMoldynVerifies(t *testing.T) {
 	cfg := apps.Config{N: 256, Procs: 4, Steps: 4}.WithKnob("update_every", 2)
-	res, err := RunApp("moldyn", cfg, "test")
+	res, err := RunAppCtx(context.Background(), "moldyn", cfg, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +207,7 @@ func TestRunAppMoldynVerifies(t *testing.T) {
 
 func TestRunAppNBFVerifies(t *testing.T) {
 	cfg := apps.Config{N: 512, Procs: 4, Steps: 3}.WithKnob("partners", 20)
-	res, err := RunApp("nbf", cfg, "test")
+	res, err := RunAppCtx(context.Background(), "nbf", cfg, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +217,7 @@ func TestRunAppNBFVerifies(t *testing.T) {
 }
 
 func TestRunAppUnknownName(t *testing.T) {
-	if _, err := RunApp("no-such-app", apps.Config{N: 8, Procs: 2}, "x"); err == nil {
+	if _, err := RunAppCtx(context.Background(), "no-such-app", apps.Config{N: 8, Procs: 2}, "x"); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }

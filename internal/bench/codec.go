@@ -3,7 +3,7 @@
 // deterministic JSON encoding for RunResult (EncodeResult /
 // DecodeResult — the disk tier's payload and the HTTP wire format),
 // and PresentResult, the single render dispatch that turns a stored
-// (request, result) pair back into the exact Present* text. Together
+// (request, result) pair back into the exact rendered text. Together
 // they let a result land on disk, outlive the process, and still
 // render byte-for-byte what the original run printed — the cold-start
 // contract of internal/cache/disk.
@@ -322,10 +322,11 @@ func PresentAppRows(w io.Writer, title string, want map[string]bool, res *RunRes
 	fmt.Fprintln(w, "\nAll parallel backends verified bit-identical to the sequential program.")
 }
 
-// PresentResult renders a result exactly as the experiment's command
-// would, deriving the presentation parameters from the request that
-// produced it — the render dispatch of the run service, where the
-// request (not a scenario spec) is all that survives on disk. App
+// PresentResult renders a result, deriving the presentation parameters
+// from the request that produced it — the one render dispatch for the
+// canned experiments, shared by the scenario engine and the run
+// service, where the request (not a scenario spec) is all that
+// survives on disk. App
 // results render every backend row under a request-derived title;
 // per-spec variant filters and scenario names are presentation-only
 // state the service deliberately does not persist.
@@ -336,17 +337,17 @@ func PresentResult(w io.Writer, req RunRequest, res *RunResult) error {
 	}
 	switch req.Experiment {
 	case "table1":
-		PresentTable1(w, table1ParamsOf(req), res)
+		presentTable1(w, table1ParamsOf(req), res)
 	case "table2":
-		PresentTable2(w, table2ParamsOf(req), res)
+		presentTable2(w, table2ParamsOf(req), res)
 	case "table3":
-		PresentTable3(w, table3ParamsOf(req), res)
+		presentTable3(w, table3ParamsOf(req), res)
 	case "table4":
-		PresentTable4(w, table4ParamsOf(req), res)
+		presentTable4(w, table4ParamsOf(req), res)
 	case "table5":
-		PresentTable5(w, table5ParamsOf(req), res)
+		presentTable5(w, table5ParamsOf(req), res)
 	case "memory":
-		PresentMemorySweep(w, memoryParamsOf(req), res)
+		presentMemorySweep(w, memoryParamsOf(req), res)
 	case "app":
 		PresentAppRows(w, fmt.Sprintf("App %s (N=%d).", req.App, req.N), nil, res)
 	default:

@@ -1,44 +1,34 @@
 // The presentation layer: pure functions from a structured RunResult
-// (run.go) to the exact text of each experiment command (cmd/table1..5,
-// cmd/ablate -sweep=memory). Present* functions simulate nothing —
-// they format numbers an earlier Run produced, so a cached result
-// renders byte-for-byte the same as a cold one and the golden fixtures
-// under cmd/*/testdata remain the shared contract across commands, the
-// scenario engine, and the runner. The Render* wrappers keep the old
-// one-call run-and-print convenience for direct callers.
+// (run.go) to the exact text of each experiment's rendering. The
+// present* functions simulate nothing — they format numbers an earlier
+// Run produced, so a cached result renders byte-for-byte the same as a
+// cold one. PresentResult (codec.go) is the one dispatch the scenario
+// engine and the run service share, so the golden fixtures under
+// cmd/scenario/testdata are the contract for both.
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/mem"
 )
 
-// Table1Params names one full table1 rendering (cmd/table1 flags).
-// Detail is presentation-only: it selects extra output, not extra
-// simulation, and is absent from the canonical request.
+// Table1Params names one full table1 rendering (the table1
+// experiment's spec params).
 type Table1Params struct {
 	N, Procs, Steps int
-	Detail          bool
 }
 
-// PresentTable1 formats Table 1 from a table1 RunResult: the table,
-// the verification line, optional per-row details, and the in-text
-// claims (§5.1).
-func PresentTable1(w io.Writer, p Table1Params, res *RunResult) {
+// presentTable1 formats Table 1 from a table1 RunResult: the table,
+// the verification line, and the in-text claims (§5.1).
+func presentTable1(w io.Writer, p Table1Params, res *RunResult) {
 	cfg := fmt.Sprintf(
 		"Table 1: Moldyn - %d processor results (N=%d, %s). The interaction list is updated at varying intervals.",
 		p.Procs, p.N, fmtN(p.Steps, "steps"))
 	tbl := appTableView(cfg, res.Apps, false)
 	fmt.Fprint(w, tbl.String())
 	fmt.Fprintln(w, "\nAll parallel backends verified bit-identical to the sequential program.")
-	if p.Detail {
-		fmt.Fprintln(w)
-		fmt.Fprint(w, tbl.DetailString())
-	}
 	fmt.Fprintln(w)
 	for _, r := range res.Apps {
 		fmt.Fprintf(w, "%-36s inspector %.2f s/proc, Validate scan %.2f s, opt vs CHAOS %+.0f%%, opt vs base %+.0f%%\n",
@@ -50,35 +40,19 @@ func PresentTable1(w io.Writer, p Table1Params, res *RunResult) {
 	}
 }
 
-// RenderTable1 runs and prints Table 1: moldyn with the interaction
-// list updated every 20, 15, and 11 steps.
-func RenderTable1(w io.Writer, p Table1Params) ([]*AppResults, error) {
-	res, err := Run(context.Background(), Table1Request(p))
-	if err != nil {
-		return nil, err
-	}
-	PresentTable1(w, p, res)
-	return res.Apps, nil
-}
-
-// Table2Params names one full table2 rendering (cmd/table2 flags).
+// Table2Params names one full table2 rendering.
 type Table2Params struct {
 	Scale, Procs, Steps, Partners int
-	Detail                        bool
 }
 
-// PresentTable2 formats Table 2 from a table2 RunResult.
-func PresentTable2(w io.Writer, p Table2Params, res *RunResult) {
+// presentTable2 formats Table 2 from a table2 RunResult.
+func presentTable2(w io.Writer, p Table2Params, res *RunResult) {
 	title := fmt.Sprintf(
 		"Table 2: NBF Kernel - %d processor results (%s, %s).",
 		p.Procs, fmtN(p.Partners, "partners/molecule"), fmtN(p.Steps, "timed steps"))
 	tbl := appTableView(title, res.Apps, false)
 	fmt.Fprint(w, tbl.String())
 	fmt.Fprintln(w, "\nAll parallel backends verified bit-identical to the sequential program.")
-	if p.Detail {
-		fmt.Fprintln(w)
-		fmt.Fprint(w, tbl.DetailString())
-	}
 	fmt.Fprintln(w)
 	for _, r := range res.Apps {
 		fmt.Fprintf(w, "%-28s inspector %.2f s/proc (untimed), Validate scan %.3f s, opt vs CHAOS %+.0f%%, opt vs base %+.0f%%\n",
@@ -90,35 +64,19 @@ func PresentTable2(w io.Writer, p Table2Params, res *RunResult) {
 	}
 }
 
-// RenderTable2 runs and prints Table 2: the nbf kernel at three problem
-// sizes including the false-sharing-inducing misaligned one.
-func RenderTable2(w io.Writer, p Table2Params) ([]*AppResults, error) {
-	res, err := Run(context.Background(), Table2Request(p))
-	if err != nil {
-		return nil, err
-	}
-	PresentTable2(w, p, res)
-	return res.Apps, nil
-}
-
-// Table3Params names one full table3 rendering (cmd/table3 flags).
+// Table3Params names one full table3 rendering.
 type Table3Params struct {
 	N, NNZ, Procs, Steps int
-	Detail               bool
 }
 
-// PresentTable3 formats Table 3 from a table3 RunResult.
-func PresentTable3(w io.Writer, p Table3Params, res *RunResult) {
+// presentTable3 formats Table 3 from a table3 RunResult.
+func presentTable3(w io.Writer, p Table3Params, res *RunResult) {
 	title := fmt.Sprintf(
 		"Table 3: SPMV and Unstruct - %d processor results (%s, %s).",
 		p.Procs, fmtN(p.NNZ, "nonzeros/row"), fmtN(p.Steps, "timed sweeps"))
 	tbl := appTableView(title, res.Apps, true)
 	fmt.Fprint(w, tbl.String())
 	fmt.Fprintln(w, "\nAll parallel backends verified bit-identical to the sequential program.")
-	if p.Detail {
-		fmt.Fprintln(w)
-		fmt.Fprint(w, tbl.DetailString())
-	}
 	fmt.Fprintln(w)
 	for _, r := range res.Apps {
 		fmt.Fprintf(w, "%-28s inspector %.3f s/proc (untimed), Validate scan %.3f s, opt vs base: %.1fx fewer messages, %.0f%% less time\n",
@@ -130,46 +88,20 @@ func PresentTable3(w io.Writer, p Table3Params, res *RunResult) {
 	}
 }
 
-// RenderTable3 runs and prints Table 3: spmv at n and n/2 plus the
-// unstructured-mesh row groups at n/2 and n/4.
-func RenderTable3(w io.Writer, p Table3Params) ([]*AppResults, error) {
-	res, err := Run(context.Background(), Table3Request(p))
-	if err != nil {
-		return nil, err
-	}
-	PresentTable3(w, p, res)
-	return res.Apps, nil
-}
-
-// Table4Params names one full table4 rendering (cmd/table4 flags).
+// Table4Params names one full table4 rendering.
 type Table4Params struct {
 	Cities, Items, Procs    int
 	Depth, Batch, ItemBatch int
-	Detail                  bool
 }
 
-// PresentTable4 formats Table 4 from a table4 RunResult: the
+// presentTable4 formats Table 4 from a table4 RunResult: the
 // lock-workload table with its lock columns and the batching claims.
-func PresentTable4(w io.Writer, p Table4Params, res *RunResult) {
+func presentTable4(w io.Writer, p Table4Params, res *RunResult) {
 	tbl := lockTableView(fmt.Sprintf(
 		"Table 4: Lock-based workloads - %d processor results (branch-and-bound TSP; migratory task queue).",
 		p.Procs), res.Apps)
 	fmt.Fprint(w, tbl.String())
 	fmt.Fprintln(w, "\nAll parallel backends verified bit-identical to the sequential program.")
-	if p.Detail {
-		fmt.Fprintln(w)
-		for _, r := range res.Apps {
-			for _, rr := range r.All() {
-				if len(rr.Detail) == 0 {
-					continue
-				}
-				fmt.Fprintf(w, "%s / %s:\n", r.Config, rr.System)
-				for _, k := range sortedDetailKeys(rr.Detail) {
-					fmt.Fprintf(w, "    %-24s %12.4f\n", k, rr.Detail[k])
-				}
-			}
-		}
-	}
 	fmt.Fprintln(w)
 	for _, r := range res.Apps {
 		base, opt := r.Base.LockTotal(), r.Opt.LockTotal()
@@ -188,36 +120,16 @@ func PresentTable4(w io.Writer, p Table4Params, res *RunResult) {
 	}
 }
 
-// RenderTable4 runs and prints Table 4: the lock-based workloads
-// (branch-and-bound TSP; migratory task queue) with the lock columns.
-func RenderTable4(w io.Writer, p Table4Params) ([]*AppResults, error) {
-	res, err := Run(context.Background(), Table4Request(p))
-	if err != nil {
-		return nil, err
-	}
-	PresentTable4(w, p, res)
-	return res.Apps, nil
-}
-
-func sortedDetailKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Table5Params names one full table5 rendering (cmd/table5 flags).
+// Table5Params names one full table5 rendering.
 type Table5Params struct {
 	Procs, BudgetKB      int
 	MoldynN, NbfN, SpmvN int
 	MoldynSteps, Steps   int
 }
 
-// PresentTable5 formats Table 5 from a table5 RunResult: per-processor
+// presentTable5 formats Table 5 from a table5 RunResult: per-processor
 // footprint high-water marks and the policy-selected table column.
-func PresentTable5(w io.Writer, p Table5Params, res *RunResult) {
+func presentTable5(w io.Writer, p Table5Params, res *RunResult) {
 	tbl := memTableView(table5Title(p), res.Apps)
 	fmt.Fprint(w, tbl.String())
 	fmt.Fprintln(w, "\nAll parallel backends verified bit-identical to the sequential program.")
@@ -238,29 +150,17 @@ func table5Title(p Table5Params) string {
 		p.Procs, budget)
 }
 
-// RenderTable5 runs and prints Table 5: per-processor footprint
-// high-water marks and the policy-selected translation-table column.
-func RenderTable5(w io.Writer, p Table5Params) ([]*AppResults, error) {
-	res, err := Run(context.Background(), Table5Request(p))
-	if err != nil {
-		return nil, err
-	}
-	PresentTable5(w, p, res)
-	return res.Apps, nil
-}
-
-// MemorySweepParams names one full memory-sweep rendering
-// (cmd/ablate -sweep=memory flags).
+// MemorySweepParams names one full memory-sweep rendering.
 type MemorySweepParams struct {
 	N, Procs int
 }
 
-// PresentMemorySweep formats the §9 capacity sweep from a memory
+// presentMemorySweep formats the §9 capacity sweep from a memory
 // RunResult: both budget grids and the verified anecdote. The
 // table_budget_kb axis points (res.Mem.Budget) are metrics-only and
 // deliberately unrendered, so a budget-swept scenario still renders
-// byte-identically to cmd/ablate's golden fixture.
-func PresentMemorySweep(w io.Writer, sp MemorySweepParams, res *RunResult) {
+// byte-identically to the memory golden fixture.
+func presentMemorySweep(w io.Writer, sp MemorySweepParams, res *RunResult) {
 	n, procs := sp.N, sp.Procs
 	d := res.Mem
 	fmt.Fprintf(w, "S9: memory budget vs translation-table organization (%d procs)\n\n", procs)
@@ -295,24 +195,6 @@ func PresentMemorySweep(w io.Writer, sp MemorySweepParams, res *RunResult) {
 	fmt.Fprintf(w, "  inspector translation traffic: %.1f MB in %d messages (paper: 85 MB in 878)\n",
 		float64(rep.TtableBytes)/1e6, rep.TtableMsgs)
 	fmt.Fprintf(w, "  peak footprint %.1f KB/proc, simulated time %.1f s\n", rep.PeakKB, rep.TimeSec)
-}
-
-// RenderMemorySweep runs and prints the §9 capacity sweep: the
-// per-processor table budget swept across the replicated/distributed/
-// paged crossover for a whole-table working set (moldyn) and a
-// localized one (banded spmv), then the moldyn anecdote run twice and
-// asserted — at the paper-scale budget the policy must reject the
-// replicated table and the distributed-table inspector traffic must
-// land in the 85 MB / 878-message regime, bit-identically. The verified
-// anecdote report is returned for band assertions.
-func RenderMemorySweep(w io.Writer, sp MemorySweepParams) (*AnecdoteReport, error) {
-	res, err := Run(context.Background(), MemoryRequest(sp, nil))
-	if err != nil {
-		return nil, err
-	}
-	PresentMemorySweep(w, sp, res)
-	rep := res.Mem.Anecdote
-	return &rep, nil
 }
 
 // memBudgets returns table budgets spanning the organization crossover

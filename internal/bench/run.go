@@ -66,7 +66,7 @@ type RunRequest struct {
 	// Experiment is table1..table5, memory, or app.
 	Experiment string
 	// Params carries the canned experiments' fully-resolved
-	// parameters (the corresponding command's flags).
+	// parameters (the experiment's spec params).
 	Params map[string]int
 
 	// The app-experiment fields (mirroring scenario.Spec).
@@ -346,11 +346,13 @@ func runItems(ctx context.Context, tr *obs.Trace, items []runItem) ([]*AppResult
 	return all, nil
 }
 
-// itemsOf adapts the RowSpec form the table builders use.
-func itemsOf(app string, specs []RowSpec) []runItem {
-	items := make([]runItem, 0, len(specs))
-	for _, s := range specs {
-		items = append(items, runItem{App: app, Label: s.Label, Cfg: s.Cfg})
+// sizeItems runs one app at each of the given problem sizes.
+func sizeItems(app string, cfg apps.Config, sizes []Size) []runItem {
+	items := make([]runItem, 0, len(sizes))
+	for _, sz := range sizes {
+		c := cfg
+		c.N = sz.N
+		items = append(items, runItem{App: app, Label: sz.Label, Cfg: c})
 	}
 	return items
 }
@@ -358,29 +360,29 @@ func itemsOf(app string, specs []RowSpec) []runItem {
 // ---- Canned-experiment run lists ---------------------------------------
 //
 // Each tableNItems function is the single place the experiment's
-// configuration grid is defined; the request builders (render.go) and
-// the compat Table1..5 wrappers (bench.go, memtable.go) both resolve
-// to these.
+// configuration grid is defined; Run resolves every canned request
+// through them.
 
 func table1Items(p Table1Params) []runItem {
 	cfg := apps.Config{N: p.N, Procs: p.Procs, Steps: p.Steps}
-	return itemsOf("moldyn", table1Specs(cfg, []int{20, 15, 11}))
+	return updateItems(cfg, []int{20, 15, 11})
 }
 
-func table1Specs(cfg apps.Config, updates []int) []RowSpec {
-	specs := make([]RowSpec, 0, len(updates))
+// updateItems runs moldyn once per interaction-list update interval.
+func updateItems(cfg apps.Config, updates []int) []runItem {
+	items := make([]runItem, 0, len(updates))
 	for _, u := range updates {
-		specs = append(specs, RowSpec{
+		items = append(items, runItem{App: "moldyn",
 			Label: fmt.Sprintf("Every %d iterations", u),
 			Cfg:   cfg.WithKnob("update_every", u),
 		})
 	}
-	return specs
+	return items
 }
 
 func table2Items(p Table2Params) []runItem {
 	cfg := apps.Config{Procs: p.Procs, Steps: p.Steps}.WithKnob("partners", p.Partners)
-	return itemsOf("nbf", sizeSpecs(cfg, table2Sizes(p)))
+	return sizeItems("nbf", cfg, table2Sizes(p))
 }
 
 func table2Sizes(p Table2Params) []Size {
@@ -396,8 +398,8 @@ func table3Items(p Table3Params) []runItem {
 	ucfg := cfg
 	ucfg.Knobs = nil
 	spmvSizes, unstructSizes := table3Sizes(p)
-	return append(itemsOf("spmv", sizeSpecs(cfg, spmvSizes)),
-		itemsOf("unstruct", sizeSpecs(ucfg, unstructSizes))...)
+	return append(sizeItems("spmv", cfg, spmvSizes),
+		sizeItems("unstruct", ucfg, unstructSizes)...)
 }
 
 func table3Sizes(p Table3Params) (spmvSizes, unstructSizes []Size) {
@@ -418,26 +420,12 @@ func table4Items(p Table4Params) []runItem {
 	taskqCfg := apps.Config{Procs: p.Procs}.WithKnob("batch", p.ItemBatch)
 	tspSizes := []Size{{Label: fmt.Sprintf("TSP, %d cities", p.Cities), N: p.Cities}}
 	taskqSizes := []Size{{Label: fmt.Sprintf("TaskQ, %d items", p.Items), N: p.Items}}
-	return append(itemsOf("tsp", sizeSpecs(tspCfg, tspSizes)),
-		itemsOf("taskq", sizeSpecs(taskqCfg, taskqSizes))...)
+	return append(sizeItems("tsp", tspCfg, tspSizes),
+		sizeItems("taskq", taskqCfg, taskqSizes)...)
 }
 
 func table5Items(p Table5Params) []runItem {
-	specs := table5Specs(p)
-	items := make([]runItem, 0, len(specs))
-	for _, s := range specs {
-		cfg := s.Cfg
-		cfg.Procs = p.Procs
-		if p.BudgetKB > 0 {
-			cfg = cfg.WithKnob("table_budget_kb", p.BudgetKB)
-		}
-		items = append(items, runItem{App: s.App, Label: s.Label, Cfg: cfg})
-	}
-	return items
-}
-
-func table5Specs(p Table5Params) []MemSpec {
-	return []MemSpec{
+	items := []runItem{
 		{App: "moldyn", Label: fmt.Sprintf("moldyn, %d mol", p.MoldynN),
 			Cfg: apps.Config{N: p.MoldynN, Steps: p.MoldynSteps}},
 		{App: "nbf", Label: fmt.Sprintf("nbf, %d mol", p.NbfN),
@@ -447,6 +435,13 @@ func table5Specs(p Table5Params) []MemSpec {
 		{App: "spmv", Label: fmt.Sprintf("spmv, %d rows", p.SpmvN),
 			Cfg: apps.Config{N: p.SpmvN, Steps: p.Steps}.WithKnob("far_per_row", 0)},
 	}
+	for i := range items {
+		items[i].Cfg.Procs = p.Procs
+		if p.BudgetKB > 0 {
+			items[i].Cfg = items[i].Cfg.WithKnob("table_budget_kb", p.BudgetKB)
+		}
+	}
+	return items
 }
 
 // ---- Params <-> request mapping ----------------------------------------
@@ -481,8 +476,7 @@ func memoryParamsOf(req RunRequest) MemorySweepParams {
 	return MemorySweepParams{N: req.Params["n"], Procs: req.Params["procs"]}
 }
 
-// Table1Request canonically encodes one table1 execution. (Detail is
-// presentation-only and deliberately not part of the request.)
+// Table1Request canonically encodes one table1 execution.
 func Table1Request(p Table1Params) RunRequest {
 	return RunRequest{Experiment: "table1",
 		Params: map[string]int{"n": p.N, "procs": p.Procs, "steps": p.Steps}}

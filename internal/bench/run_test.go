@@ -41,16 +41,6 @@ func TestCanonicalEncodingDiverges(t *testing.T) {
 	}
 }
 
-// TestPresentationExcludedFromKey checks the Detail flag — pure
-// presentation — does not fragment the cache.
-func TestPresentationExcludedFromKey(t *testing.T) {
-	plain := Table1Request(Table1Params{N: 512, Procs: 8, Steps: 10})
-	detail := Table1Request(Table1Params{N: 512, Procs: 8, Steps: 10, Detail: true})
-	if plain.Key() != detail.Key() {
-		t.Error("the Detail flag changed the content address")
-	}
-}
-
 // TestRunRejectsUnknownVersion checks the version gate fails loudly.
 func TestRunRejectsUnknownVersion(t *testing.T) {
 	req := Table1Request(Table1Params{N: 64, Procs: 2, Steps: 2})

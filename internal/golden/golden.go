@@ -1,8 +1,9 @@
 // Package golden compares rendered output against checked-in fixture
-// files. The table commands golden-diff their CI-size output with it:
-// the determinism core (DESIGN.md §7) guarantees byte-identical
-// renders, so any fixture mismatch is a real change in the numbers and
-// must be an explicit edit — regenerate with `go test ./cmd/... -update`.
+// files. The scenario and ablation commands golden-diff their CI-size
+// output with it: the determinism core (DESIGN.md §7) guarantees
+// byte-identical renders, so any fixture mismatch is a real change in
+// the numbers and must be an explicit edit — regenerate with
+// `go test ./cmd/... -update`.
 package golden
 
 import (

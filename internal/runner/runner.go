@@ -174,9 +174,9 @@ var (
 )
 
 // Default returns the shared process-wide runner: GOMAXPROCS workers
-// and a modest LRU. The thin table commands route through it so a
-// repeated request within one process (e.g. a sweep revisiting a
-// configuration) is served from cache instead of re-simulating.
+// and a modest LRU. scenario.Run routes through it so a repeated
+// request within one process (e.g. a sweep revisiting a configuration)
+// is served from cache instead of re-simulating.
 func Default() *Runner {
 	defaultOnce.Do(func() {
 		defaultRunner = New(0, cache.New(128))

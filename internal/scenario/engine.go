@@ -47,8 +47,8 @@ func (v Violation) String() string {
 		v.Band.Metric, fmtMetric(v.Value), v.Band.Interval())
 }
 
-// Outcome is one executed scenario: the rendered table text (identical
-// bytes to the corresponding command), the flattened metrics, and any
+// Outcome is one executed scenario: the rendered table text (the bytes
+// the golden fixtures pin), the flattened metrics, and any
 // band violations. A non-empty Violations is the caller's exit-status
 // decision, not an error — the run itself succeeded.
 type Outcome struct {
@@ -137,7 +137,10 @@ func RunCtx(ctx context.Context, r *runner.Runner, spec *Spec) (*Outcome, error)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
 	}
-	out := outcomeOf(spec, res)
+	out, err := outcomeOf(spec, req, res)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
+	}
 	if spec.Repro {
 		// The cached pass: a repeated request must be served from the
 		// result cache (or re-executed if evicted) and render the same
@@ -154,7 +157,10 @@ func RunCtx(ctx context.Context, r *runner.Runner, spec *Spec) (*Outcome, error)
 			if err != nil {
 				return nil, fmt.Errorf("scenario %q: repro rerun failed: %w", spec.Name, err)
 			}
-			o2 := outcomeOf(spec, again)
+			o2, err := outcomeOf(spec, req, again)
+			if err != nil {
+				return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
+			}
 			if out.Rendered != o2.Rendered {
 				return nil, fmt.Errorf("scenario %q: not reproducible: rendered output differs across runs", spec.Name)
 			}
@@ -182,44 +188,17 @@ func RunCtx(ctx context.Context, r *runner.Runner, spec *Spec) (*Outcome, error)
 }
 
 // outcomeOf renders one structured result into an outcome — a pure
-// function, so equal results always yield equal bytes.
-func outcomeOf(spec *Spec, res *bench.RunResult) *Outcome {
+// function, so equal results always yield equal bytes. The canned
+// experiments render through bench.PresentResult, the dispatch the run
+// service shares; only the app experiment has a scenario-specific view.
+func outcomeOf(spec *Spec, req bench.RunRequest, res *bench.RunResult) (*Outcome, error) {
 	var buf bytes.Buffer
-	present(&buf, spec, res)
-	return &Outcome{Spec: spec, Rendered: buf.String(), Metrics: res.Metrics, Trace: res.Trace}
-}
-
-// present formats the result exactly as the corresponding command
-// would (the golden fixtures are the contract).
-func present(w io.Writer, spec *Spec, res *bench.RunResult) {
-	switch spec.Experiment {
-	case "table1":
-		bench.PresentTable1(w, bench.Table1Params{
-			N: spec.Param("n"), Procs: spec.Param("procs"), Steps: spec.Param("steps")}, res)
-	case "table2":
-		bench.PresentTable2(w, bench.Table2Params{
-			Scale: spec.Param("scale"), Procs: spec.Param("procs"),
-			Steps: spec.Param("steps"), Partners: spec.Param("partners")}, res)
-	case "table3":
-		bench.PresentTable3(w, bench.Table3Params{
-			N: spec.Param("n"), NNZ: spec.Param("nnz"),
-			Procs: spec.Param("procs"), Steps: spec.Param("steps")}, res)
-	case "table4":
-		bench.PresentTable4(w, bench.Table4Params{
-			Cities: spec.Param("cities"), Items: spec.Param("items"),
-			Procs: spec.Param("procs"), Depth: spec.Param("depth"),
-			Batch: spec.Param("batch"), ItemBatch: spec.Param("item_batch")}, res)
-	case "table5":
-		bench.PresentTable5(w, bench.Table5Params{
-			Procs: spec.Param("procs"), BudgetKB: spec.Param("budget_kb"),
-			MoldynN: spec.Param("n"), NbfN: spec.Param("nbf"), SpmvN: spec.Param("spmv"),
-			MoldynSteps: spec.Param("moldyn_steps"), Steps: spec.Param("steps")}, res)
-	case "memory":
-		bench.PresentMemorySweep(w, bench.MemorySweepParams{
-			N: spec.Param("n"), Procs: spec.Param("procs")}, res)
-	case "app":
-		presentApp(w, spec, res)
+	if spec.Experiment == "app" {
+		presentApp(&buf, spec, res)
+	} else if err := bench.PresentResult(&buf, req, res); err != nil {
+		return nil, err
 	}
+	return &Outcome{Spec: spec, Rendered: buf.String(), Metrics: res.Metrics, Trace: res.Trace}, nil
 }
 
 // presentApp renders the generic app experiment: one table whose rows

@@ -3,9 +3,9 @@
 // the §9 memory sweep, or a generic registered application — with its
 // parameters, optional sweep axis, assertion bands on the verified
 // metrics, and an exact-reproducibility check. The engine (engine.go)
-// executes a validated spec through the same internal/bench renderers
-// the table commands use, so a scenario's rendered output is
-// byte-identical to the bespoke command's golden fixture.
+// executes a validated spec through bench.Run and renders it through
+// bench.PresentResult, the dispatch the run service shares, so a
+// scenario and a served result render the same bytes.
 package scenario
 
 import (
@@ -69,9 +69,8 @@ type Spec struct {
 	Version int
 	// Experiment is table1..table5, memory, or app.
 	Experiment string
-	// Params carries the table/memory experiments' parameters (the
-	// corresponding command's flags); unset keys take the command's
-	// flag defaults.
+	// Params carries the table/memory experiments' parameters; unset
+	// keys take the experiment defaults.
 	Params map[string]int
 	// Repro asks the engine to run the whole experiment twice and
 	// byte-diff the rendered output and the metrics text.
@@ -106,9 +105,9 @@ type Spec struct {
 	Assert []Band
 }
 
-// experiments maps each canned experiment to its parameter schema; the
-// defaults mirror the corresponding command's flag defaults, so an
-// empty params block reproduces `go run ./cmd/tableN` exactly.
+// experiments maps each canned experiment to its parameter schema and
+// defaults; an empty params block runs the experiment at these
+// defaults, and Spec.Request resolves every param against them.
 var experiments = map[string]map[string]int{
 	"table1": {"n": 4096, "procs": 8, "steps": 40},
 	"table2": {"scale": 16, "procs": 8, "steps": 10, "partners": 100},
@@ -122,7 +121,7 @@ var experiments = map[string]map[string]int{
 var variantSlots = []string{"seq", "chaos", "tmk", "tmk-opt"}
 
 // Param returns a table/memory experiment parameter, falling back to
-// the command-flag default.
+// the experiment default.
 func (s *Spec) Param(name string) int {
 	if v, ok := s.Params[name]; ok {
 		return v
