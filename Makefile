@@ -11,18 +11,22 @@ BENCH_PKGS    := . ./internal/sim
 BENCH_PATTERN := ^(BenchmarkArbiter|BenchmarkDelivery|BenchmarkSend|BenchmarkStatsCount)
 BENCH_FLAGS   := -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime=100x -count=6
 
-# The serial-vs-parallel full-table sweep (internal/runner) runs in a
-# separate invocation: one iteration is the whole five-table CI-size
-# sweep, so -benchtime=100x would take hours. Its two legs land in the
-# same raw file and BENCH_sim.json records both — their ratio is the
+# The whole-run benchmarks run in a separate invocation at one
+# iteration each: the serial-vs-parallel full-table sweep
+# (internal/runner; one iteration is the whole five-table CI-size
+# sweep, so -benchtime=100x would take hours), one CHAOS run of the
+# moldyn memory anecdote, and one collective inspector per table
+# organization (root package). They land in the same raw file and
+# BENCH_sim.json records them all — the sweep legs' ratio is the
 # `scenario run -j` wall-clock claim.
-BENCH_SWEEP_FLAGS := -run '^$$' -bench '^BenchmarkTableSweep' -benchtime=1x -count=3
+BENCH_SWEEP_PKGS  := . ./internal/runner
+BENCH_SWEEP_FLAGS := -run '^$$' -bench '^(BenchmarkTableSweep|BenchmarkMoldynChaosAnecdote|BenchmarkInspector)$$' -benchtime=1x -count=3
 
 # The in-process benchmark names, as a benchgate -filter: the bench
 # legs gate only these against BENCH_sim.json, and the service leg
 # gates only BenchmarkSimdLoad — each leg filters the shared baseline
 # to what it actually ran.
-GATE_FILTER  := ^Benchmark(Arbiter|Delivery|Send|StatsCount|TableSweep)
+GATE_FILTER  := ^Benchmark(Arbiter|Delivery|Send|StatsCount|TableSweep|MoldynChaosAnecdote|Inspector)
 LOAD_FILTER  := ^BenchmarkSimdLoad
 
 # The service load test (cmd/simd + cmd/simload); see README "Running
@@ -52,13 +56,13 @@ profile:
 # instead of handing benchgate partial output.
 bench-baseline:
 	go test $(BENCH_FLAGS) $(BENCH_PKGS) > /tmp/bench-raw.txt
-	go test $(BENCH_SWEEP_FLAGS) ./internal/runner >> /tmp/bench-raw.txt
+	go test $(BENCH_SWEEP_FLAGS) $(BENCH_SWEEP_PKGS) >> /tmp/bench-raw.txt
 	go run ./cmd/benchgate -filter '$(GATE_FILTER)' -merge BENCH_sim.json -out BENCH_sim.json < /tmp/bench-raw.txt
 
 # Run the same gate CI runs: fail if anything regressed >30%.
 bench-check:
 	go test $(BENCH_FLAGS) $(BENCH_PKGS) > /tmp/bench-raw.txt
-	go test $(BENCH_SWEEP_FLAGS) ./internal/runner >> /tmp/bench-raw.txt
+	go test $(BENCH_SWEEP_FLAGS) $(BENCH_SWEEP_PKGS) >> /tmp/bench-raw.txt
 	go run ./cmd/benchgate -filter '$(GATE_FILTER)' -baseline BENCH_sim.json < /tmp/bench-raw.txt
 
 # Run the simd service in the foreground with a disk cache tier.

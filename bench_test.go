@@ -15,6 +15,7 @@ import (
 	"repro/internal/apps/moldyn"
 	"repro/internal/apps/nbf"
 	"repro/internal/apps/spmv"
+	"repro/internal/bench"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/rsd"
@@ -245,21 +246,48 @@ func BenchmarkBarrier8(b *testing.B) {
 	})
 }
 
-// BenchmarkInspector measures one CHAOS inspector execution.
+// BenchmarkInspector measures one collective CHAOS inspector execution
+// on eight processors: a replicated table with the default cost model,
+// and the moldyn configuration — a distributed table whose inspector
+// translates the whole reference stream (TranslateAll) before dedup.
 func BenchmarkInspector(b *testing.B) {
-	part := chaos.Block(8192, 8)
-	tt := chaos.NewTransTable(part, chaos.Replicated)
 	globals := make([]int, 64*1024)
 	for i := range globals {
 		globals[i] = (i * 31) % 8192
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cl := sim.NewCluster(sim.DefaultConfig(8))
-		cl.Run(func(p *sim.Proc) {
-			chaos.Inspect(p, i, globals, tt, chaos.DefaultInspectorCost())
+	for _, leg := range []struct {
+		name string
+		kind chaos.TableKind
+		cost chaos.InspectorCost
+	}{
+		{"replicated", chaos.Replicated, chaos.DefaultInspectorCost()},
+		{"distributed-translateall", chaos.Distributed,
+			chaos.InspectorCost{HashUSPerEntry: 2.0, BuildUSPerElem: 0.5, TranslateAll: true}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			tt := chaos.NewTransTable(chaos.Block(8192, 8), leg.kind)
+			for b.Loop() {
+				cl := sim.NewCluster(sim.DefaultConfig(8))
+				cl.Run(func(p *sim.Proc) {
+					chaos.Inspect(p, 0, globals, tt, leg.cost)
+				})
+			}
 		})
 	}
+}
+
+// BenchmarkMoldynChaosAnecdote measures one CHAOS run of the §9 memory
+// anecdote (N=4096, 8 processors, 8 inspector executions over a
+// distributed table): pair rebuilds, inspectors and the executor, the
+// application compute the memory scenario is made of.
+func BenchmarkMoldynChaosAnecdote(b *testing.B) {
+	w := moldyn.Generate(bench.MoldynAnecdoteParams())
+	b.ReportAllocs()
+	var r *apps.Result
+	for b.Loop() {
+		r = moldyn.RunChaos(w)
+	}
+	report(b, r)
 }
 
 // BenchmarkStatsCountGlobal measures the traffic-counter hot path when

@@ -7,6 +7,8 @@
 package moldyn
 
 import (
+	"slices"
+
 	"repro/internal/apps"
 	"repro/internal/chaos"
 	"repro/internal/sim"
@@ -28,14 +30,7 @@ func RunChaos(w *Workload) *apps.Result {
 	counts := part.Counts()
 
 	// ownGlobals[p] lists the globals proc p owns, in local-offset order.
-	ownGlobals := make([][]int, nprocs)
-	for g := 0; g < n; g++ {
-		o := part.Owner[g]
-		ownGlobals[o] = append(ownGlobals[o], g)
-	}
-
-	initPairs, _ := BuildPairs(&p, w.L, w.X0)
-	initSorted, initStarts := PartitionPairs(initPairs, part)
+	ownGlobals := ownerSections(part)
 
 	res := &apps.Result{System: "chaos", TableOrg: p.TableKind.String()}
 	meas := apps.NewMeasure(cl)
@@ -51,8 +46,10 @@ func RunChaos(w *Workload) *apps.Result {
 		mem := &cl.Mem
 		meas.Start(proc)
 
-		// Working state: current pair section and local arrays.
-		pairs := initSorted[initStarts[me]:initStarts[me+1]]
+		// Working state: current pair section and local arrays. The
+		// initial section is built from this processor's owner rows
+		// (untimed initialization, like the paper's).
+		pairs := BuildPairsRows(nil, &p, w.L, w.X0, ownGlobals[me])
 		mem.Alloc(me, apps.MemCatPairs, int64(8*len(pairs)))
 		// xGlob is this proc's replicated coordinate copy, refreshed at
 		// every rebuild (allgather) and used only to rebuild the list.
@@ -64,6 +61,10 @@ func RunChaos(w *Workload) *apps.Result {
 		var dataBytes int64
 		tag := 0
 
+		// runInspector builds the schedule for the current section and
+		// then localizes the section in place: every global index is
+		// rewritten to its local (owned or ghost) slot, so the executor
+		// indexes xLoc/fLoc directly.
 		runInspector := func() {
 			t0 := proc.Clock()
 			globals := make([]int, 0, 2*len(pairs))
@@ -74,6 +75,9 @@ func RunChaos(w *Workload) *apps.Result {
 				sch.ReleaseMem(proc) // replaced by the re-run below
 			}
 			sch = chaos.Inspect(proc, tag, globals, tt, icost)
+			for k, pr := range pairs {
+				pairs[k] = [2]int32{sch.LocalOf(int(pr[0])), sch.LocalOf(int(pr[1]))}
+			}
 			slots := own + sch.Ghosts
 			mem.Free(me, apps.MemCatData, dataBytes)
 			dataBytes = int64(2 * 8 * 3 * slots) // xLoc + fLoc
@@ -90,6 +94,11 @@ func RunChaos(w *Workload) *apps.Result {
 		}
 		runInspector()
 
+		// The parallel rebuild's interleaved rows and their charged
+		// check count are fixed; its output buffer is reused.
+		rows := stridedRows(n, nprocs, me)
+		checks := stridedChecks(n, nprocs, me)
+		var built [][2]int32
 		for step := 1; step <= p.Steps; step++ {
 			if p.UpdateEvery > 0 && step > 1 && (step-1)%p.UpdateEvery == 0 {
 				// Allgather coordinates, rebuild the list in parallel
@@ -98,11 +107,11 @@ func RunChaos(w *Workload) *apps.Result {
 				// inspector.
 				tag++
 				allgatherX(proc, tag, part, ownGlobals, xLoc, xGlob)
-				myPairs, checks := BuildPairsStrided(&p, w.L, xGlob, nprocs, me)
+				built = BuildPairsRows(built[:0], &p, w.L, xGlob, rows)
 				proc.Advance(cost.RebuildUSPerCheck * float64(checks))
 				tag++
 				mem.Free(me, apps.MemCatPairs, int64(8*len(pairs)))
-				pairs = exchangePairs(proc, tag, BucketPairsByOwner(myPairs, part))
+				pairs = exchangePairs(proc, tag, BucketPairsByOwner(built, part), pairs)
 				mem.Alloc(me, apps.MemCatPairs, int64(8*len(pairs)))
 				tag++
 				runInspector()
@@ -125,8 +134,7 @@ func RunChaos(w *Workload) *apps.Result {
 			}
 			proc.Advance(cost.ZeroUSPerElem * float64(len(fLoc)))
 			for _, pr := range pairs {
-				l1 := int(sch.LocalOf(int(pr[0])))
-				l2 := int(sch.LocalOf(int(pr[1])))
+				l1, l2 := int(pr[0]), int(pr[1])
 				for dd := 0; dd < 3; dd++ {
 					f := apps.MinImage(xLoc[3*l1+dd]-xLoc[3*l2+dd], w.L)
 					fLoc[3*l1+dd] += f
@@ -222,8 +230,9 @@ func allgatherX(proc *sim.Proc, tag int, part *chaos.Partition,
 // owners ("chaos.pairx", one message per pair of processors) and returns
 // this processor's section: the concatenation, in builder order, of
 // every builder's bucket for it — the same deterministic layout the
-// TreadMarks backend stores in shared memory.
-func exchangePairs(proc *sim.Proc, tag int, buckets [][][2]int32) [][2]int32 {
+// TreadMarks backend stores in shared memory. The section overwrites
+// dst, the processor's previous (no longer needed) section.
+func exchangePairs(proc *sim.Proc, tag int, buckets [][][2]int32, dst [][2]int32) [][2]int32 {
 	me := proc.ID()
 	np := proc.NProcs()
 	byBuilder := make([][][2]int32, np)
@@ -237,9 +246,13 @@ func exchangePairs(proc *sim.Proc, tag int, buckets [][][2]int32) [][2]int32 {
 	proc.RecvEach("chaos.pairx", tag, np-1, func(from int, payload any) {
 		byBuilder[from] = payload.([][2]int32)
 	})
-	var out [][2]int32
-	for b := 0; b < np; b++ {
-		out = append(out, byBuilder[b]...)
+	total := 0
+	for _, bucket := range byBuilder {
+		total += len(bucket)
+	}
+	out := slices.Grow(dst[:0], total)
+	for _, bucket := range byBuilder {
+		out = append(out, bucket...)
 	}
 	return out
 }

@@ -114,6 +114,25 @@ func TestPairGridMatchesBruteForce(t *testing.T) {
 				}
 			}
 			all, _ := BuildPairs(&w.P, l, w.X0)
+			// The initial-build path: RCB owner rows, one section per
+			// processor. Concatenated, they are the brute-force list
+			// stably bucketed by owner (the old sort-then-partition).
+			for _, np := range []int{1, 3, 8} {
+				part := chaos.RCB(Coords(w.X0), np)
+				full, _ := brutePairs(&w.P, l, w.X0, 1, 0)
+				var want, got [][2]int32
+				for o, rows := range ownerSections(part) {
+					for _, pr := range full {
+						if part.Owner[pr[0]] == o {
+							want = append(want, pr)
+						}
+					}
+					got = BuildPairsRows(got, &w.P, l, w.X0, rows)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("frac %v seed %d procs %d: owner sections (%d pairs) differ from bucketed brute force (%d)", frac, seed, np, len(got), len(want))
+				}
+			}
 			for _, pr := range atCutoff {
 				if _, ok := slices.BinarySearchFunc(all, [2]int32{int32(pr[0] * stride), int32(pr[1] * stride)}, comparePairs); !ok {
 					t.Fatalf("frac %v seed %d: planted pair %v at the cutoff missing", frac, seed, pr)
@@ -138,24 +157,30 @@ func TestPairsSymmetricIandJ(t *testing.T) {
 	}
 }
 
+// TestPartitionPairsSectionsAreContiguous checks the almost-owner-
+// computes layout both backends start from: each processor's section,
+// built from its owner rows, holds only pairs it owns, and together the
+// sections hold every pair of the interaction list.
 func TestPartitionPairsSectionsAreContiguous(t *testing.T) {
 	p := testParams(256, 4, 1, 0)
 	w := Generate(p)
 	pairs, _ := BuildPairs(&p, w.L, w.X0)
 	part := chaos.RCB(Coords(w.X0), 4)
-	sorted, starts := PartitionPairs(pairs, part)
-	if len(sorted) != len(pairs) {
-		t.Fatal("pairs lost in partitioning")
-	}
-	if starts[0] != 0 || starts[4] != len(pairs) {
-		t.Fatalf("starts = %v", starts)
-	}
-	for pr := 0; pr < 4; pr++ {
-		for k := starts[pr]; k < starts[pr+1]; k++ {
-			if ownerOfPair(sorted[k], part) != pr {
-				t.Fatalf("pair %d assigned to wrong section", k)
+	total := 0
+	for pr, rows := range ownerSections(part) {
+		if !slices.IsSorted(rows) {
+			t.Fatalf("proc %d: owner rows not ascending", pr)
+		}
+		section := BuildPairsRows(nil, &p, w.L, w.X0, rows)
+		for k, x := range section {
+			if ownerOfPair(x, part) != pr {
+				t.Fatalf("proc %d: pair %d %v assigned to wrong section", pr, k, x)
 			}
 		}
+		total += len(section)
+	}
+	if total != len(pairs) {
+		t.Fatalf("sections hold %d pairs, interaction list %d", total, len(pairs))
 	}
 }
 

@@ -45,10 +45,18 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	cost := p.Costs
 
 	cl := sim.NewCluster(p.simConfig())
+	// The initial interaction list in almost-owner-computes order: the
+	// owner sections of the RCB partition, concatenated.
+	part := chaos.RCB(Coords(w.X0), nprocs)
+	var sorted [][2]int32
+	starts := make([]int, nprocs+1)
+	for o, rows := range ownerSections(part) {
+		sorted = BuildPairsRows(sorted, &p, w.L, w.X0, rows)
+		starts[o+1] = len(sorted)
+	}
 	// Capacity for the shared interaction list: the pair count drifts as
 	// molecules move; 1.5x the initial count plus slack covers it.
-	initPairs, _ := BuildPairs(&p, w.L, w.X0)
-	capPairs := len(initPairs)*3/2 + 4096
+	capPairs := len(sorted)*3/2 + 4096
 
 	arenaBytes := apps.PageRound(24*n, p.PageSize) + apps.PageRound(8*3*n, p.PageSize) +
 		apps.PageRound(8*capPairs, p.PageSize) + apps.PageRound(8*(nprocs+2), p.PageSize) +
@@ -64,13 +72,11 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	// Initialization (untimed, like the paper): proc 0 lays out the
 	// coordinates, the RCB-partitioned interaction list, and the section
 	// boundaries.
-	part := chaos.RCB(Coords(w.X0), nprocs)
 	s0 := d.Node(0).Space()
 	for i := 0; i < 3*n; i++ {
 		s0.WriteF64(xArr.Base+vm.Addr(8*i), w.X0[i])
 		s0.WriteF64(fArr.Base+vm.Addr(8*i), 0)
 	}
-	sorted, starts := PartitionPairs(initPairs, part)
 	writePairs(s0, interArr, startsAddr, sorted, starts)
 	d.SealInit()
 

@@ -177,6 +177,35 @@ func BuildPairs(p *Params, l float64, x []float64) (pairs [][2]int32, checks int
 // triangular pair loop. The pairs are exactly BuildPairs' pairs for
 // those rows, in the same (i ascending, j ascending) order, and checks
 // is the paper-era scan's count for those rows, the sum of N-1-i.
+func BuildPairsStrided(p *Params, l float64, x []float64, mod, eq int) (pairs [][2]int32, checks int64) {
+	return BuildPairsRows(nil, p, l, x, stridedRows(p.N, mod, eq)), stridedChecks(p.N, mod, eq)
+}
+
+// stridedRows lists the rows i < n with i % mod == eq, ascending.
+func stridedRows(n, mod, eq int) []int {
+	rows := make([]int, 0, n/mod+1)
+	for i := eq; i < n; i += mod {
+		rows = append(rows, i)
+	}
+	return rows
+}
+
+// stridedChecks is the paper-era scan's candidate count for the rows
+// stridedRows(n, mod, eq): the sum of n-1-i, in closed form.
+func stridedChecks(n, mod, eq int) int64 {
+	if eq >= n {
+		return 0
+	}
+	rows := int64((n-1-eq)/mod + 1)
+	return rows*int64(n-1-eq) - int64(mod)*rows*(rows-1)/2
+}
+
+// BuildPairsRows appends to dst the interaction pairs (i, j>i) of each
+// row i in rows, in row order and j ascending within a row, and returns
+// the extended slice. Rows listed ascending give BuildPairs' order
+// restricted to them — a processor's owner rows give its
+// almost-owner-computes section directly (ownerOfPair is the owner of
+// i), and interleaved rows give the strided rebuild.
 //
 // The host bins molecules into cells of side at least Cutoff/2, so a
 // row's partners lie in the 5x5x5 cells around its own; cells of that
@@ -185,12 +214,8 @@ func BuildPairs(p *Params, l float64, x []float64) (pairs [][2]int32, checks int
 // scanned instead; at most cbrt(N) cells a side bound the grid's
 // memory. A row's hits collect in a bitmap over j, which drains in
 // ascending order (DESIGN.md §16).
-func BuildPairsStrided(p *Params, l float64, x []float64, mod, eq int) (pairs [][2]int32, checks int64) {
+func BuildPairsRows(dst [][2]int32, p *Params, l float64, x []float64, rows []int) [][2]int32 {
 	n := p.N
-	if eq < n {
-		rows := int64((n-1-eq)/mod + 1)
-		checks = rows*int64(n-1-eq) - int64(mod)*rows*(rows-1)/2
-	}
 	rc2 := p.Cutoff * p.Cutoff
 	near := func(i, j int) bool {
 		dx := apps.MinImage(x[3*i]-x[3*j], l)
@@ -200,14 +225,14 @@ func BuildPairsStrided(p *Params, l float64, x []float64, mod, eq int) (pairs []
 	}
 	g := min(2*l/(p.Cutoff*(1+1e-9)), cubeSide(float64(n)))
 	if !(g >= 5) { // also when g is NaN, as cubeSide gives for N = 0
-		for i := eq; i < n; i += mod {
+		for _, i := range rows {
 			for j := i + 1; j < n; j++ {
 				if near(i, j) {
-					pairs = append(pairs, [2]int32{int32(i), int32(j)})
+					dst = append(dst, [2]int32{int32(i), int32(j)})
 				}
 			}
 		}
-		return pairs, checks
+		return dst
 	}
 	m := int(g)
 	scale := float64(m) / l
@@ -239,7 +264,7 @@ func BuildPairsStrided(p *Params, l float64, x []float64, mod, eq int) (pairs []
 	lim := reach * reach
 	var gap [3][5]float64 // squared axis distance from i to cell offsets -2..2
 	hits := make([]uint64, (n+63)/64)
-	for i := eq; i < n; i += mod {
+	for _, i := range rows {
 		c := int(cell[i])
 		cc := [3]int{c % m, c / m % m, c / (m * m)}
 		for a, ca := range cc {
@@ -265,18 +290,29 @@ func BuildPairsStrided(p *Params, l float64, x []float64, mod, eq int) (pairs []
 		}
 		for w := (i + 1) >> 6; w < len(hits); w++ {
 			for b := hits[w]; b != 0; b &= b - 1 {
-				pairs = append(pairs, [2]int32{int32(i), int32(w<<6 + bits.TrailingZeros64(b))})
+				dst = append(dst, [2]int32{int32(i), int32(w<<6 + bits.TrailingZeros64(b))})
 			}
 			hits[w] = 0
 		}
 	}
-	return pairs, checks
+	return dst
 }
 
 // BucketPairsByOwner splits a pair list into per-owner buckets under the
-// almost-owner-computes rule, preserving order within each bucket.
+// almost-owner-computes rule, preserving order within each bucket. The
+// buckets share one backing array sized from a counting pass.
 func BucketPairsByOwner(pairs [][2]int32, part *chaos.Partition) [][][2]int32 {
+	counts := make([]int, part.NProcs)
+	for _, pr := range pairs {
+		counts[ownerOfPair(pr, part)]++
+	}
+	backing := make([][2]int32, len(pairs))
 	out := make([][][2]int32, part.NProcs)
+	off := 0
+	for o, c := range counts {
+		out[o] = backing[off : off : off+c]
+		off += c
+	}
 	for _, pr := range pairs {
 		o := ownerOfPair(pr, part)
 		out[o] = append(out[o], pr)
@@ -284,27 +320,18 @@ func BucketPairsByOwner(pairs [][2]int32, part *chaos.Partition) [][][2]int32 {
 	return out
 }
 
-// PartitionPairs orders the interaction list by the almost-owner-computes
-// assignment (owner of the iteration's molecules under part), returning
-// the reordered list and per-processor section boundaries starts, where
-// processor p's pairs occupy [starts[p], starts[p+1]). The regular
-// section of the indirection array each processor accesses — the
-// compiler's key fact — is exactly that contiguous range.
-func PartitionPairs(pairs [][2]int32, part *chaos.Partition) (sorted [][2]int32, starts []int) {
-	nprocs := part.NProcs
-	buckets := make([][][2]int32, nprocs)
-	for _, pr := range pairs {
-		o := ownerOfPair(pr, part)
-		buckets[o] = append(buckets[o], pr)
+// ownerSections returns ownGlobals[o], the globals processor o owns
+// under part, ascending — its local-offset order, and the rows of its
+// almost-owner-computes section of the interaction list.
+func ownerSections(part *chaos.Partition) [][]int {
+	rows := make([][]int, part.NProcs)
+	for o, c := range part.Counts() {
+		rows[o] = make([]int, 0, c)
 	}
-	starts = make([]int, nprocs+1)
-	sorted = make([][2]int32, 0, len(pairs))
-	for p := 0; p < nprocs; p++ {
-		starts[p] = len(sorted)
-		sorted = append(sorted, buckets[p]...)
+	for g, o := range part.Owner {
+		rows[o] = append(rows[o], g)
 	}
-	starts[nprocs] = len(sorted)
-	return sorted, starts
+	return rows
 }
 
 // ownerOfPair applies almost-owner-computes to one pair.

@@ -9,11 +9,7 @@
 // accumulated contributions back to their owners.
 package chaos
 
-import (
-	"sort"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Schedule is a communication schedule: for each peer, which of the
 // peer's local elements we receive (into which ghost slots), and which
@@ -115,8 +111,9 @@ func Inspect(p *sim.Proc, tag int, globals []int, tt *TransTable, cost Inspector
 
 	if cost.TranslateAll {
 		// Translate the raw reference stream (charging the full
-		// distributed-table traffic), then dedup.
-		tt.LookupBatch(p, globals)
+		// distributed-table traffic), then dedup. Only the charges
+		// matter: the distinct elements are resolved locally below.
+		tt.charge(p, globals)
 	}
 
 	// Duplicate elimination via a hash table sized to the data array
@@ -128,23 +125,26 @@ func Inspect(p *sim.Proc, tag int, globals []int, tt *TransTable, cost Inspector
 	mem := &p.Cluster().Mem
 	mem.Alloc(me, MemCatInspector, int64(n))
 	seen := make([]bool, n)
-	distinct := make([]int, 0, len(globals))
+	ndistinct := 0
 	for _, g := range globals {
 		if !seen[g] {
 			seen[g] = true
+			ndistinct++
+		}
+	}
+	p.Advance(cost.HashUSPerEntry * float64(len(globals)))
+	// The distinct elements in ascending order: a scan of the table.
+	distinct := make([]int, 0, ndistinct)
+	for g, s := range seen {
+		if s {
 			distinct = append(distinct, g)
 		}
 	}
-	sort.Ints(distinct)
-	p.Advance(cost.HashUSPerEntry * float64(len(globals)))
 
 	// Translate the distinct elements (may communicate, depending on the
 	// table organization; already paid above under TranslateAll).
-	var locs []Loc
-	if cost.TranslateAll {
-		locs = tt.LookupLocal(distinct)
-	} else {
-		locs = tt.LookupBatch(p, distinct)
+	if !cost.TranslateAll {
+		tt.charge(p, distinct)
 	}
 
 	sch := &Schedule{
@@ -170,12 +170,12 @@ func Inspect(p *sim.Proc, tag int, globals []int, tt *TransTable, cost Inspector
 	sch.OwnCount = own
 	// Ghost slots for remote elements, grouped by home processor.
 	ghost := int32(own)
-	for i, g := range distinct {
-		if locs[i].Proc == me {
+	for _, g := range distinct {
+		q := tt.owner[g]
+		if q == me {
 			continue
 		}
-		q := locs[i].Proc
-		sch.RecvFrom[q] = append(sch.RecvFrom[q], locs[i].Off)
+		sch.RecvFrom[q] = append(sch.RecvFrom[q], tt.local[g])
 		sch.RecvSlot[q] = append(sch.RecvSlot[q], ghost)
 		sch.localOf[g] = ghost
 		ghost++

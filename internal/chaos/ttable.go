@@ -130,12 +130,6 @@ func (t *TransTable) Kind() TableKind { return t.kind }
 // N returns the number of elements.
 func (t *TransTable) N() int { return t.n }
 
-// segmentOwner returns the processor holding global index g's table
-// entry under the Distributed/Paged organizations.
-func (t *TransTable) segmentOwner(g int) int {
-	return blockOwner(g, t.n, t.nprocs)
-}
-
 // StorageBytes returns the modeled per-processor table storage of
 // processor p, excluding any cached pages: the full table under
 // Replicated, the home segment otherwise.
@@ -204,32 +198,44 @@ func (t *TransTable) LookupLocal(globals []int) []Loc {
 // request/response exchanges with remote segment owners. Traffic is
 // counted under "chaos.ttable".
 func (t *TransTable) LookupBatch(p *sim.Proc, globals []int) []Loc {
-	cfg := p.Config()
+	t.charge(p, globals)
+	return t.LookupLocal(globals)
+}
+
+// charge bills processor p for translating globals, as LookupBatch does,
+// without materializing the entries: table storage, cached pages,
+// lookup compute and the exchange with each remote segment owner.
+func (t *TransTable) charge(p *sim.Proc, globals []int) {
+	me := p.ID()
 	t.chargeStorage(p)
-	out := make([]Loc, len(globals))
 	remote := make([]int, p.NProcs()) // segment owner -> #entries requested
 	nremote := 0
-	for i, g := range globals {
-		out[i] = Loc{Proc: t.owner[g], Off: t.local[g]}
-		switch t.kind {
-		case Replicated:
-			// Local.
-		case Distributed:
-			if q := t.segmentOwner(g); q != p.ID() {
-				remote[q]++
+	seg := (t.n + t.nprocs - 1) / t.nprocs // segment size: g's segment owner is g/seg
+	lo, hi := me*seg, (me+1)*seg           // this processor's own segment
+	switch t.kind {
+	case Replicated:
+		// Local.
+	case Distributed:
+		for _, g := range globals {
+			if g < lo || g >= hi {
+				remote[g/seg]++
 				nremote++
 			}
-		case Paged:
+		}
+	case Paged:
+		cached := t.cached[me]
+		for _, g := range globals {
 			page := g / TablePageEntries
-			if q := t.segmentOwner(g); q != p.ID() && !t.cached[p.ID()][page] {
+			if (g < lo || g >= hi) && !cached[page] {
 				t.cachePage(p, page)
-				remote[q] += TablePageEntries // whole page shipped
+				remote[g/seg] += TablePageEntries // whole page shipped
 				nremote++
 			}
 		}
 	}
 	p.Advance(t.LookupUS * float64(len(globals)))
 	if nremote > 0 {
+		cfg := p.Config()
 		done := p.Clock()
 		t0 := done
 		var msgs, bytes int64
@@ -255,7 +261,6 @@ func (t *TransTable) LookupBatch(p *sim.Proc, globals []int) []Loc {
 		p.AdvanceTo(done)
 		p.Cluster().Stats.CountP(p.ID(), "chaos.ttable", msgs, bytes)
 	}
-	return out
 }
 
 // cachePage records that processor p now caches table page pg, charging
